@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"net"
+	"runtime"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -589,12 +590,50 @@ func ServiceOf(method string) string {
 	return method
 }
 
-// sendBatchBytes bounds how many marshalled request bytes one drain pass
-// of the sendLoop accumulates before flushing, in the style of gRPC's
-// loopyWriter: after blocking on the first queued call, further pending
-// calls are drained non-blockingly and the whole batch leaves in one
-// write, amortizing the syscall across concurrent callers.
+// sendBatchBytes bounds how many marshalled bytes one pass of a batching
+// drain (drainBatches) accumulates before it flushes.
 const sendBatchBytes = 128 << 10
+
+// drainBatches is the batching drain shared by the client's sendLoop and
+// each server connection's writeLoop, in the style of gRPC's loopyWriter:
+// it blocks for the first queued item, takes further queued items without
+// blocking until sendBatchBytes is reached, and then calls flush, which
+// seals the batch and writes it with one syscall. add prepares one item
+// and returns the batch's new size. drainBatches returns once closed is
+// closed.
+//
+// The first time a pass finds the queue empty, it yields the processor
+// once and drains again before flushing. On one P, a caller's send on the
+// queue readies the parked drain into the scheduler's runnext slot, and
+// the caller then blocks on its reply, so without the yield the drain
+// runs before the other callers the read loop just woke and flushes one
+// item per write. The yield happens before flush takes the send lock.
+func drainBatches[T any](q <-chan T, closed <-chan struct{}, add func(item T, size int) int, flush func()) {
+	for {
+		var item T
+		select {
+		case item = <-q:
+		case <-closed:
+			return
+		}
+		size := add(item, 0)
+		yielded := false
+		for size < sendBatchBytes {
+			select {
+			case item = <-q:
+				size = add(item, size)
+				continue
+			default:
+			}
+			if yielded {
+				break
+			}
+			yielded = true
+			runtime.Gosched()
+		}
+		flush()
+	}
+}
 
 // sendLoop drains the send queue: compression, marshalling, encryption,
 // and the write — the client side of ReqProcStack.
@@ -603,26 +642,13 @@ func (c *Channel) sendLoop() {
 	batch := make([]*clientCall, 0, 32)
 	envs := make([][]byte, 0, 32)
 	var scr sealScratch
-	for {
-		select {
-		case call := <-c.sendQ:
-			batch, envs = batch[:0], envs[:0]
-			size := 0
-			batch, envs, size = c.prepareCall(call, batch, envs, size)
-		drain:
-			for size < sendBatchBytes {
-				select {
-				case next := <-c.sendQ:
-					batch, envs, size = c.prepareCall(next, batch, envs, size)
-				default:
-					break drain
-				}
-			}
-			c.flushBatch(batch, envs, &scr)
-		case <-c.closed:
-			return
-		}
-	}
+	drainBatches(c.sendQ, c.closed, func(call *clientCall, size int) int {
+		batch, envs, size = c.prepareCall(call, batch, envs, size)
+		return size
+	}, func() {
+		c.flushBatch(batch, envs, &scr)
+		batch, envs = batch[:0], envs[:0]
+	})
 }
 
 // prepareCall stamps the dequeue timestamp and marshals one call's

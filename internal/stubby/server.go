@@ -749,36 +749,20 @@ func ctxErrToStatus(err error) error {
 	return ErrCancelled
 }
 
-// writeLoop drains one connection's send queue: compress, marshal,
-// encrypt, write — the server side of RespProcStack. Like the client's
-// sendLoop it is a batching drain: it blocks on the first queued response,
-// drains further pending responses non-blockingly up to sendBatchBytes,
-// and flushes the whole batch with a single write.
+// writeLoop drains one connection's send queue through drainBatches:
+// compress, marshal, encrypt, write — the server side of RespProcStack.
 func (s *Server) writeLoop(sc *serverConn) {
 	defer s.conns.Done()
 	batch := make([]*serverResponse, 0, 32)
 	envs := make([][]byte, 0, 32)
 	var scr sealScratch
-	for {
-		select {
-		case sr := <-sc.sendQ:
-			batch, envs = batch[:0], envs[:0]
-			size := 0
-			batch, envs, size = s.prepareResponse(sc, sr, batch, envs, size)
-		drain:
-			for size < sendBatchBytes {
-				select {
-				case next := <-sc.sendQ:
-					batch, envs, size = s.prepareResponse(sc, next, batch, envs, size)
-				default:
-					break drain
-				}
-			}
-			s.flushResponses(sc, batch, envs, &scr)
-		case <-sc.closed:
-			return
-		}
-	}
+	drainBatches(sc.sendQ, sc.closed, func(sr *serverResponse, size int) int {
+		batch, envs, size = s.prepareResponse(sc, sr, batch, envs, size)
+		return size
+	}, func() {
+		s.flushResponses(sc, batch, envs, &scr)
+		batch, envs = batch[:0], envs[:0]
+	})
 }
 
 // prepareResponse compresses and marshals one queued response into a
