@@ -497,8 +497,8 @@ func BenchmarkStubbyUnary(b *testing.B) {
 
 // BenchmarkStubbyUnaryParallel is the client fan-in variant: RunParallel
 // drives concurrent callers over one channel, so a `-cpu 1,2,4` sweep
-// shows how envelope-lane throughput scales with cores once the codec
-// pool and batch writer overlap seal work with the syscall path.
+// shows how envelope-lane throughput scales with cores once callers and
+// the batching writer run on separate cores.
 func BenchmarkStubbyUnaryParallel(b *testing.B) {
 	for _, size := range []int{128, 16 * 1024} {
 		b.Run(byteLabel(size), func(b *testing.B) {
@@ -701,9 +701,9 @@ func BenchmarkStubbyStream(b *testing.B) {
 	opts := stubby.Options{Workers: 8}
 	srv := stubby.NewServer(opts)
 	chunk := make([]byte, 32*1024)
-	srv.RegisterStream("bench/Read", func(ctx context.Context, p []byte, send func([]byte) error) error {
+	srv.RegisterBidi("bench/Read", func(ctx context.Context, st *stubby.Stream) error {
 		for i := 0; i < 64; i++ {
-			if err := send(chunk); err != nil {
+			if err := st.Send(chunk); err != nil {
 				return err
 			}
 		}
@@ -723,13 +723,15 @@ func BenchmarkStubbyStream(b *testing.B) {
 	b.SetBytes(64 * 32 * 1024)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		st, err := ch.CallStream(context.Background(), "bench/Read", nil)
+		st, err := ch.OpenStream(context.Background(), "bench/Read")
 		if err != nil {
 			b.Fatal(err)
 		}
+		if err := st.CloseSend(); err != nil {
+			b.Fatal(err)
+		}
 		for {
-			_, err := st.Recv()
-			if err != nil {
+			if _, err := st.Recv(); err != nil {
 				break
 			}
 		}

@@ -5,9 +5,13 @@
 //
 // Spans stream from the generation shards straight to the writer: the
 // dataset is never materialized, so memory stays bounded no matter how
-// large -volume is. Records interleave across shards (dump order varies
-// run to run) but the set of records is deterministic for a fixed seed;
-// sort or replay through rpcanalyze -stream, which is order-insensitive.
+// large -volume is. Records interleave across shards, so dump order
+// varies run to run, but the set of records is deterministic for a fixed
+// seed. The report rpcanalyze renders from a dump depends on record
+// order: two dumps of one seed can render different reports when their
+// shards interleaved differently. A fixed record order — one dump per
+// shard, as the repository benchmark writes, or a sorted dump — gives a
+// reproducible report.
 //
 // Usage:
 //

@@ -61,8 +61,13 @@ func (r *replica) write(ctx context.Context, payload []byte) ([]byte, error) {
 	return nil, nil
 }
 
-// readStream streams the requested block range back chunk by chunk.
-func (r *replica) readStream(ctx context.Context, payload []byte, send func([]byte) error) error {
+// readStream streams the requested block range back chunk by chunk: the
+// read request arrives as the stream's first message.
+func (r *replica) readStream(ctx context.Context, st *stubby.Stream) error {
+	payload, err := st.Recv()
+	if err != nil {
+		return err
+	}
 	req, err := codec.Unmarshal(readReq, payload)
 	if err != nil {
 		return stubby.Errorf(trace.InvalidArgument, "bad read: %v", err)
@@ -75,7 +80,7 @@ func (r *replica) readStream(ctx context.Context, payload []byte, send func([]by
 		if !ok {
 			return stubby.Errorf(trace.EntityNotFound, "block %d missing on %s", b, r.name)
 		}
-		if err := send(block); err != nil {
+		if err := st.Send(block); err != nil {
 			return err
 		}
 	}
@@ -87,7 +92,7 @@ func startReplica(name string, opts stubby.Options) (string, func(), error) {
 	rep := &replica{name: name, data: make(map[uint64][]byte)}
 	srv := stubby.NewServer(opts)
 	srv.Register("networkdisk/Write", rep.write)
-	srv.RegisterStream("networkdisk/ReadStream", rep.readStream)
+	srv.RegisterBidi("networkdisk/ReadStream", rep.readStream)
 	l, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		return "", nil, err
@@ -167,9 +172,17 @@ func (c *diskClient) readFile(ctx context.Context, replicaIdx int, first, count 
 	if err != nil {
 		return nil, err
 	}
-	// Streaming goes through a raw channel of the chosen replica's pool.
-	stream, err := c.pools[replicaIdx].CallStreamAny(ctx, "networkdisk/ReadStream", payload)
+	// Streaming goes through one channel of the chosen replica's pool: the
+	// request is the stream's only message, then the send side closes.
+	stream, err := c.pools[replicaIdx].OpenStream(ctx, "networkdisk/ReadStream")
 	if err != nil {
+		return nil, err
+	}
+	defer stream.Close()
+	if err := stream.Send(payload); err != nil {
+		return nil, err
+	}
+	if err := stream.CloseSend(); err != nil {
 		return nil, err
 	}
 	var out bytes.Buffer

@@ -22,7 +22,6 @@ var BufownReleaseFuncs = NewFuncList("wire.PutBuf", "stubby.FreeResponse")
 var BufownAliasFuncs = NewFuncList(
 	"secure.Session.OpenAppend", "secure.Session.OpenAppendAAD",
 	"secure.Session.SealAppend", "secure.Session.SealAppendAAD",
-	"secure.Worker.SealAppendAAD",
 )
 
 // BufownAnalyzer enforces the DESIGN.md §11/§12 buffer-ownership

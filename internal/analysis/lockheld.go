@@ -17,7 +17,7 @@ var LockheldIOPackages = NewPackageList(
 
 // RPCCallNames are the method names treated as RPC issue/dispatch points
 // by lockheld. Settable via -lockheld.callnames.
-var RPCCallNames = NewStringSet("Invoke", "Call", "CallHedged", "CallStream")
+var RPCCallNames = NewStringSet("Invoke", "Call", "CallHedged", "OpenStream")
 
 // LockheldAnalyzer flags blocking operations — channel sends/receives,
 // network and wire I/O, RPC dispatch — reachable while a sync.Mutex or

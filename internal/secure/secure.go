@@ -39,12 +39,9 @@ type Stats struct {
 //
 // Concurrency contract: the Open* methods are safe for concurrent use —
 // the nonce travels inside the message and the GCM AEAD itself is
-// stateless — but the Seal* methods on the Session share one nonce
-// scratch buffer and must be serialized (the transport holds its
-// per-direction lock across them). To seal from several goroutines at
-// once, give each its own Worker (NewWorker): workers draw unique nonces
-// from the session's shared counter, so concurrent and out-of-order
-// sealing stays safe.
+// stateless — but the Seal* methods share one nonce scratch buffer and
+// must be serialized (the transport holds its per-direction send lock
+// across them).
 type Session struct {
 	aead  cipher.AEAD
 	ctr   atomic.Uint64
@@ -53,33 +50,6 @@ type Session struct {
 	// the cipher.AEAD interface call and would cost one heap allocation
 	// per message.
 	nonce [12]byte
-}
-
-// Worker is per-goroutine sealing state for a Session: it carries its own
-// nonce scratch while drawing nonce values from the session's shared
-// counter, so any number of workers may seal concurrently — each message
-// still gets a unique nonce, and the peer recovers it from the message
-// prefix regardless of arrival order. A Worker itself is not safe for
-// concurrent use; give each sealing goroutine its own.
-type Worker struct {
-	s     *Session
-	nonce [12]byte
-}
-
-// NewWorker returns sealing state for one concurrent goroutine.
-func (s *Session) NewWorker() *Worker {
-	return &Worker{s: s}
-}
-
-// SealAppendAAD is Session.SealAppendAAD using this worker's private
-// nonce scratch; see that method for the format and aliasing rules.
-func (w *Worker) SealAppendAAD(dst, plaintext, aad []byte) []byte {
-	s := w.s
-	s.stats.Seals.Add(1)
-	s.stats.BytesEncrypted.Add(uint64(len(plaintext)))
-	binary.BigEndian.PutUint64(w.nonce[4:], s.ctr.Add(1))
-	dst = append(dst, w.nonce[:]...)
-	return s.aead.Seal(dst, w.nonce[:], plaintext, aad)
 }
 
 // NewSessionKey returns a fresh random session key.

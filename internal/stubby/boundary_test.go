@@ -63,8 +63,8 @@ func TestExportedBoundariesReturnStatusErrors(t *testing.T) {
 			_, err := dead.CallHedged(bg, "svc/Echo", nil, time.Millisecond)
 			return err
 		}},
-		{"CallStream/closed-channel", trace.Unavailable, func() error {
-			_, err := dead.CallStream(bg, "svc/Echo", nil)
+		{"OpenStream/closed-channel", trace.Unavailable, func() error {
+			_, err := dead.OpenStream(bg, "svc/Echo")
 			return err
 		}},
 		{"Ping/closed-channel", trace.Unavailable, func() error {
@@ -83,8 +83,8 @@ func TestExportedBoundariesReturnStatusErrors(t *testing.T) {
 			_, err := deadPool.CallHedged(bg, "svc/Echo", nil, time.Millisecond)
 			return err
 		}},
-		{"Pool.CallStreamAny/after-close", trace.Unavailable, func() error {
-			_, err := deadPool.CallStreamAny(bg, "svc/Echo", nil)
+		{"Pool.OpenStream/after-close", trace.Unavailable, func() error {
+			_, err := deadPool.OpenStream(bg, "svc/Echo")
 			return err
 		}},
 		{"Pool.Ping/after-close", trace.Unavailable, func() error {

@@ -151,7 +151,6 @@ func dialStriped(addr, serverCluster string, opts Options) (*Channel, error) {
 		for _, s := range chans {
 			s.failLocal(ErrUnavailable)
 			s.tr.close()
-			s.tr.stopCodec()
 		}
 	}
 	for i := 0; i < n; i++ {
@@ -225,7 +224,6 @@ func newChannelNoLoops(conn net.Conn, serverCluster string, o Options) (*Channel
 		conn.Close()
 		return nil, Errorf(trace.Internal, "transport setup: %v", err)
 	}
-	tr.startCodec(codecWorkerCount(o.CodecWorkers), o.DataPlane)
 	c := &Channel{
 		opts:          o,
 		serverCluster: serverCluster,
@@ -641,12 +639,11 @@ func (c *Channel) sendLoop() {
 	defer c.loops.Done()
 	batch := make([]*clientCall, 0, 32)
 	envs := make([][]byte, 0, 32)
-	var scr sealScratch
 	drainBatches(c.sendQ, c.closed, func(call *clientCall, size int) int {
 		batch, envs, size = c.prepareCall(call, batch, envs, size)
 		return size
 	}, func() {
-		c.flushBatch(batch, envs, &scr)
+		c.flushBatch(batch, envs)
 		batch, envs = batch[:0], envs[:0]
 	})
 }
@@ -698,12 +695,10 @@ func (c *Channel) prepareCall(call *clientCall, batch []*clientCall, envs [][]by
 }
 
 // flushBatch seals every prepared envelope into the transport's write
-// buffer and flushes them with a single write. With a codec pool
-// attached, large bulk payloads are sealed concurrently by the workers
-// while this goroutine appends the inline frames; harvesting jobs in
-// submission order under the send lock keeps the envelope-before-chunks
-// frame order the bulk protocol requires.
-func (c *Channel) flushBatch(batch []*clientCall, envs [][]byte, scr *sealScratch) {
+// buffer and flushes them with a single write. A bulk call's envelope
+// precedes its payload chunks, the frame order the bulk protocol
+// requires.
+func (c *Channel) flushBatch(batch []*clientCall, envs [][]byte) {
 	if len(batch) == 0 {
 		return
 	}
@@ -715,55 +710,24 @@ func (c *Channel) flushBatch(batch []*clientCall, envs [][]byte, scr *sealScratc
 	}
 	c.mu.Unlock()
 
-	p := c.tr.codec
-	pipelined := false
-	if p != nil {
-		scr.jobs, scr.n = scr.jobs[:0], scr.n[:0]
-		if p.enter() {
-			pipelined = true
-			for _, call := range batch {
-				k := 0
-				if call != nil && call.bulk && len(call.bulkPayload) > codecInlineMax {
-					before := len(scr.jobs)
-					scr.jobs = p.submitSealChunks(scr.jobs, call.streamID, call.bulkPayload, 0)
-					k = len(scr.jobs) - before
-				}
-				scr.n = append(scr.n, k)
-			}
-		}
-	}
-
 	c.tr.lockSend()
 	var err error
-	ji := 0
 	for i, call := range batch {
-		var k int
-		if pipelined {
-			k = scr.n[i]
+		if err != nil {
+			break
 		}
 		if call == nil {
-			continue // abandoned calls submitted no jobs (k is 0)
+			continue // abandoned before send
 		}
 		if call.bulk {
 			// Envelope first, then the payload chunks on the same stream —
 			// all in this batch's single vectored write. Bulk-unary chunks
 			// are exempt from stream credit: the response bounds them.
+			err = c.tr.appendLocked(wire.FrameBulkRequest, call.streamID, envs[i])
 			if err == nil {
-				err = c.tr.appendLocked(wire.FrameBulkRequest, call.streamID, envs[i])
-			}
-			if k > 0 {
-				// Jobs must be harvested even after an error so their
-				// buffers return to the pool.
-				if herr := c.tr.appendSealedLocked(call.streamID, scr.jobs[ji:ji+k], err != nil); err == nil {
-					err = herr
-				}
-				ji += k
-			} else if err == nil {
 				err = c.tr.appendChunkedLocked(call.streamID, call.bulkPayload, 0)
 			}
-			continue
-		}
-		if err == nil {
+		} else {
 			err = c.tr.appendLocked(wire.FrameRequest, call.streamID, envs[i])
 		}
 	}
@@ -771,9 +735,6 @@ func (c *Channel) flushBatch(batch []*clientCall, envs [][]byte, scr *sealScratc
 		err = c.tr.flushLocked()
 	}
 	c.tr.unlockSend()
-	if pipelined {
-		p.exit()
-	}
 	sentNs := c.sinceEpoch()
 	for i, call := range batch {
 		wire.PutBuf(envs[i])
@@ -797,8 +758,7 @@ func (c *Channel) failCall(call *clientCall, err error) {
 
 // readLoop dispatches incoming frames to waiting calls and streams. It
 // owns bulkIn, the bulk-lane response assemblies, so that path takes no
-// locks beyond the pending-map lookup. With a codec pool attached it
-// splits into a read-ahead pump and this dispatching goroutine.
+// locks beyond the pending-map lookup.
 func (c *Channel) readLoop() {
 	defer c.loops.Done()
 	bulkIn := make(map[uint64]*clientBulk)
@@ -807,10 +767,6 @@ func (c *Channel) readLoop() {
 			wire.PutBuf(b.data)
 		}
 	}()
-	if c.tr.codec != nil {
-		c.readLoopPipelined(bulkIn)
-		return
-	}
 	for {
 		m, err := c.tr.recv()
 		if err != nil {
@@ -820,53 +776,6 @@ func (c *Channel) readLoop() {
 		if !c.dispatchFrame(m, bulkIn) {
 			return
 		}
-	}
-}
-
-// readLoopPipelined overlaps frame reads and decryption: recvPump reads
-// ahead and hands large frames to the codec workers; this goroutine
-// harvests plaintexts in arrival order and dispatches them. Every item
-// the pump emits is harvested even during teardown, so the pump never
-// wedges on a full channel and no pooled buffer is lost.
-func (c *Channel) readLoopPipelined(bulkIn map[uint64]*clientBulk) {
-	items := make(chan recvItem, recvPipelineDepth)
-	var pumpErr error
-	c.loops.Add(1)
-	go func() {
-		defer c.loops.Done()
-		pumpErr = c.tr.recvPump(items)
-		close(items)
-	}()
-	failed := false
-	for it := range items {
-		if failed {
-			if it.job != nil {
-				out, _ := c.tr.finishOpen(it.job)
-				wire.PutBuf(out)
-			} else {
-				wire.PutBuf(it.msg.plain)
-			}
-			continue
-		}
-		m := it.msg
-		if it.job != nil {
-			out, err := c.tr.finishOpen(it.job)
-			if err != nil {
-				c.fail(err)
-				// The pump only exits on a read error; force one.
-				c.tr.close()
-				failed = true
-				continue
-			}
-			m.plain = out
-		}
-		if !c.dispatchFrame(m, bulkIn) {
-			c.tr.close()
-			failed = true
-		}
-	}
-	if !failed {
-		c.fail(pumpErr)
 	}
 }
 
@@ -1048,6 +957,11 @@ func (c *Channel) dropStream(id uint64) {
 // Ping measures transport round-trip time, including encryption but not
 // queuing or handlers.
 func (c *Channel) Ping(ctx context.Context) (time.Duration, error) {
+	if ctx.Err() != nil {
+		// Fail before sending: a pong racing an already-done context
+		// must not turn a cancelled Ping into a success.
+		return 0, codeToError(cancelCode(ctx))
+	}
 	ch := make(chan time.Time, 1)
 	c.pingMu.Lock()
 	if c.pingCh != nil {
@@ -1119,11 +1033,10 @@ func (c *Channel) Close() error {
 }
 
 // closeLocal tears down one channel (one stripe): fail everything, close
-// the conn so the loops unwind, join them, then stop the codec workers.
+// the conn so the loops unwind, and join them.
 func (c *Channel) closeLocal() error {
 	c.fail(ErrUnavailable)
 	err := c.tr.close()
 	c.loops.Wait()
-	c.tr.stopCodec()
 	return err
 }

@@ -1,9 +1,9 @@
 package stubby
 
-// Data-plane floors for the multi-core path (DESIGN.md §16): allocation
-// budgets for the inline unary path and the pipelined bulk path, and the
-// codec-worker shutdown drain. The alloc tests are race-gated like
-// TestCallAllocBudget — instrumented builds change allocation counts.
+// Data-plane floors (DESIGN.md §16): allocation budgets for the inline
+// unary path and the bulk download path, and the striped shutdown drain.
+// The alloc tests are race-gated like TestCallAllocBudget — instrumented
+// builds change allocation counts.
 
 import (
 	"bytes"
@@ -13,11 +13,9 @@ import (
 	"rpcscale/internal/testutil"
 )
 
-// TestUnaryInlineAllocFloor pins the inline (non-pipelined) unary path:
-// a 128 B echo stays at or under 15 allocs per call end to end, the floor
-// the ISSUE-10 acceptance criteria state. Small frames must never detour
-// through the codec pool (codecInlineMax gates them), so this holds with
-// workers configured too.
+// TestUnaryInlineAllocFloor pins the unary path, sealed and opened
+// inline on the connection loops: a 128 B echo stays at or under 15
+// allocs per call end to end, the floor BenchmarkStubbyUnary reports.
 func TestUnaryInlineAllocFloor(t *testing.T) {
 	if testutil.Instrumented {
 		t.Skip("allocation counts differ under instrumented builds")
@@ -26,7 +24,7 @@ func TestUnaryInlineAllocFloor(t *testing.T) {
 	// observes server-side worker wakeups that the bench loop amortizes,
 	// so the test budget carries a small fixed headroom over the floor.
 	const budget = 22.0
-	ch, _ := testSetup(t, Options{Workers: 2, CodecWorkers: 2},
+	ch, _ := testSetup(t, Options{Workers: 2},
 		map[string]Handler{"svc/Echo": echoHandler})
 	payload := bytes.Repeat([]byte{0x42}, 128)
 	ctx := context.Background()
@@ -49,21 +47,18 @@ func TestUnaryInlineAllocFloor(t *testing.T) {
 	}
 }
 
-// TestBulkPipelinedAllocFloor pins the pipelined bulk download path with
-// the codec pool forced on: a 64 KiB response rides the bulk lane, its
-// chunks are sealed/opened by workers, and the response buffer is recycled
-// with FreeResponse. The documented floor is 30 allocs per call: the
-// inline path's 15 plus the pipelined path's per-chunk job handoffs
-// (codec jobs and their done channels recycle through the pool's free
-// list, but pump-side recvItem plumbing and occasional free-list misses
-// cost a bounded handful more).
-func TestBulkPipelinedAllocFloor(t *testing.T) {
+// TestBulkDownloadAllocFloor pins the bulk download path: a 64 KiB
+// response rides the bulk lane as one chunk frame, sealed in the server's
+// writeLoop and opened in the client's readLoop, and the response buffer
+// is recycled with FreeResponse. It measures 15 allocs per call, the
+// unary floor; the budget carries the same headroom as the unary test's.
+func TestBulkDownloadAllocFloor(t *testing.T) {
 	if testutil.Instrumented {
 		t.Skip("allocation counts differ under instrumented builds")
 	}
-	const budget = 30.0
+	const budget = 22.0
 	blob := make([]byte, 64<<10)
-	ch, _ := testSetup(t, Options{Workers: 2, CodecWorkers: 2},
+	ch, _ := testSetup(t, Options{Workers: 2},
 		map[string]Handler{"svc/Get": func(ctx context.Context, p []byte) ([]byte, error) {
 			return blob, nil
 		}})
@@ -87,18 +82,17 @@ func TestBulkPipelinedAllocFloor(t *testing.T) {
 		FreeResponse(out)
 	})
 	if allocs > budget {
-		t.Errorf("pipelined bulk 64KiB: %.1f allocs/op, budget %.0f", allocs, budget)
+		t.Errorf("bulk 64KiB download: %.1f allocs/op, budget %.0f", allocs, budget)
 	}
 }
 
-// TestCodecWorkerShutdownDrains proves Channel.Close drains every worker
-// the pipelined data plane spawned — codec pools on both ends, stripe
-// connections, and the receive pumps — with no goroutine left behind.
-// leakcheck (registered by testSetup) fails the test if anything the
-// forced CodecWorkers/ConnStripes configuration started outlives Close.
-func TestCodecWorkerShutdownDrains(t *testing.T) {
+// TestStripedShutdownDrains proves Channel.Close stops every goroutine a
+// striped channel started — the send and read loops of each stripe on
+// both ends — with no goroutine left behind. leakcheck (registered by
+// testSetup) fails the test if anything outlives Close.
+func TestStripedShutdownDrains(t *testing.T) {
 	blob := make([]byte, 128<<10)
-	ch, srv := testSetup(t, Options{Workers: 2, CodecWorkers: 2, ConnStripes: 2},
+	ch, srv := testSetup(t, Options{Workers: 2, ConnStripes: 2},
 		map[string]Handler{
 			"svc/Echo": echoHandler,
 			"svc/Get": func(ctx context.Context, p []byte) ([]byte, error) {
@@ -106,7 +100,7 @@ func TestCodecWorkerShutdownDrains(t *testing.T) {
 			},
 		})
 	ctx := context.Background()
-	// Engage every lane: inline unary, pipelined bulk across stripes.
+	// Engage every lane: unary on stripe 0, multi-chunk bulk across stripes.
 	for i := 0; i < 8; i++ {
 		if _, err := ch.Call(ctx, "svc/Echo", []byte("ping")); err != nil {
 			t.Fatal(err)
@@ -118,8 +112,7 @@ func TestCodecWorkerShutdownDrains(t *testing.T) {
 		FreeResponse(out)
 	}
 	// Close explicitly (the cleanup's Close becomes a no-op) and verify
-	// post-close calls fail fast with a coded status instead of hanging
-	// on a dead worker pool.
+	// post-close calls fail fast with a coded status instead of hanging.
 	if err := ch.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -127,6 +120,6 @@ func TestCodecWorkerShutdownDrains(t *testing.T) {
 		t.Fatalf("post-close call: err = %v, want %v", err, ErrUnavailable)
 	}
 	srv.Close()
-	// leakcheck's cleanup now snapshots goroutines: codec workers on both
-	// ends, stripe loops, and recv pumps must all have exited.
+	// leakcheck's cleanup now snapshots goroutines: the loops of every
+	// stripe on both ends must have exited.
 }

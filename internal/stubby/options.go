@@ -38,13 +38,10 @@ func (NopRobustnessObserver) RetrySuppressed(string)                            
 func (NopRobustnessObserver) BreakerTransition(string, BreakerState, BreakerState) {}
 func (NopRobustnessObserver) CallShed(string)                                      {}
 
-// DataPlaneObserver receives the multi-core data plane's events: codec
-// pool activity and adaptive-compression decisions. It must be safe for
-// concurrent use; *telemetry.Plane is the canonical implementation.
+// DataPlaneObserver receives the data plane's adaptive-compression
+// decisions. It must be safe for concurrent use; *telemetry.Plane is the
+// canonical implementation.
 type DataPlaneObserver interface {
-	// CodecJobEnqueued reports one frame handed to the codec workers and
-	// the number of jobs already queued ahead of it.
-	CodecJobEnqueued(queued int)
 	// CompressSkipped reports a payload the adaptive estimator sent
 	// uncompressed: bytes is the payload size the compression tax was
 	// spared on.
@@ -146,20 +143,14 @@ type Options struct {
 	// over an existing conn cannot dial more.
 	ConnStripes int
 
-	// CodecWorkers sizes the per-connection codec worker pool that seals
-	// and opens large frames off the send/recv loops. 0 (the default)
-	// sizes it from GOMAXPROCS and disables it on a single-proc runtime;
-	// > 0 forces that many workers; < 0 forces the inline path.
-	CodecWorkers int
-
 	// AdaptiveCompression lets the endpoint skip configured compression
 	// per method when live telemetry (an entropy probe on the first
 	// bytes plus a windowed observed-ratio estimator) says the payloads
 	// do not compress — the paper's compression tax is pure waste there.
 	AdaptiveCompression bool
 
-	// DataPlane observes codec-pool and adaptive-compression events. Nil
-	// disables (telemetry.Plane.Apply installs itself here).
+	// DataPlane observes adaptive-compression events. Nil disables
+	// (telemetry.Plane.Apply installs itself here).
 	DataPlane DataPlaneObserver
 
 	// PoolPicker, when non-nil, replaces a Pool's round-robin channel

@@ -243,13 +243,13 @@ func (p *Pool) replace(dead *Channel) {
 	}
 }
 
-// CallStreamAny starts a server-streaming call on one pool member.
-func (p *Pool) CallStreamAny(ctx context.Context, method string, payload []byte) (*ServerStream, error) {
+// OpenStream opens a bidirectional stream on one pool member.
+func (p *Pool) OpenStream(ctx context.Context, method string, opts ...CallOption) (*Stream, error) {
 	ch, err := p.pick()
 	if err != nil {
 		return nil, err
 	}
-	return ch.CallStream(ctx, method, payload)
+	return ch.OpenStream(ctx, method, opts...)
 }
 
 // Ping measures RTT on one member.

@@ -257,7 +257,6 @@ func (s *Server) Serve(l net.Listener) error {
 			conn.Close()
 			continue
 		}
-		tr.startCodec(codecWorkerCount(s.opts.CodecWorkers), s.opts.DataPlane)
 		sc := &serverConn{
 			tr:      tr,
 			sendQ:   make(chan *serverResponse, s.opts.SendQueueLen),
@@ -292,7 +291,6 @@ type serverBulk struct {
 // stream cannot head-of-line-block the connection).
 func (s *Server) readLoop(sc *serverConn) {
 	defer s.conns.Done()
-	defer sc.tr.stopCodec()
 	defer sc.shutdown()
 	defer sc.failStreams()
 	bulkIn := make(map[uint64]*serverBulk)
@@ -302,10 +300,6 @@ func (s *Server) readLoop(sc *serverConn) {
 			wire.PutBuf(b.data)
 		}
 	}()
-	if sc.tr.codec != nil {
-		s.readLoopPipelined(sc, bulkIn)
-		return
-	}
 	for {
 		m, err := sc.tr.recv()
 		if err != nil {
@@ -315,44 +309,6 @@ func (s *Server) readLoop(sc *serverConn) {
 		}
 		if !s.dispatchServerFrame(sc, m, bulkIn) {
 			return
-		}
-	}
-}
-
-// readLoopPipelined is readLoop's frame dispatcher when the connection has
-// a codec pool: a pump goroutine reads ahead and submits large frames for
-// concurrent decryption while this goroutine harvests completed opens in
-// arrival order and dispatches them. After a failure it keeps draining the
-// pump's channel (harvesting and releasing buffers) so the pump never
-// blocks on a full channel.
-func (s *Server) readLoopPipelined(sc *serverConn, bulkIn map[uint64]*serverBulk) {
-	items := make(chan recvItem, recvPipelineDepth)
-	s.conns.Add(1)
-	go func() {
-		defer s.conns.Done()
-		_ = sc.tr.recvPump(items)
-		close(items)
-	}()
-	failed := false
-	for it := range items {
-		if it.job != nil {
-			out, err := sc.tr.finishOpen(it.job)
-			if err != nil {
-				if !failed {
-					sc.shutdown()
-					failed = true
-				}
-				continue
-			}
-			it.msg.plain = out
-		}
-		if failed {
-			wire.PutBuf(it.msg.plain)
-			continue
-		}
-		if !s.dispatchServerFrame(sc, it.msg, bulkIn) {
-			sc.shutdown()
-			failed = true
 		}
 	}
 }
@@ -755,12 +711,11 @@ func (s *Server) writeLoop(sc *serverConn) {
 	defer s.conns.Done()
 	batch := make([]*serverResponse, 0, 32)
 	envs := make([][]byte, 0, 32)
-	var scr sealScratch
 	drainBatches(sc.sendQ, sc.closed, func(sr *serverResponse, size int) int {
 		batch, envs, size = s.prepareResponse(sc, sr, batch, envs, size)
 		return size
 	}, func() {
-		s.flushResponses(sc, batch, envs, &scr)
+		s.flushResponses(sc, batch, envs)
 		batch, envs = batch[:0], envs[:0]
 	})
 }
@@ -817,59 +772,25 @@ func (s *Server) prepareResponse(sc *serverConn, sr *serverResponse, batch []*se
 // buffer, flushes them with a single write, and releases the pooled
 // request and response buffers. A failed write is not reported here — the
 // connection's read loop observes the socket error and tears down.
-func (s *Server) flushResponses(sc *serverConn, batch []*serverResponse, envs [][]byte, scr *sealScratch) {
+func (s *Server) flushResponses(sc *serverConn, batch []*serverResponse, envs [][]byte) {
 	if len(batch) == 0 {
 		return
 	}
-	// Pipelining phase: large bulk payloads are chunked and handed to the
-	// codec pool before the send lock is taken, so workers seal them while
-	// this goroutine seals the small envelopes inline. Harvest below is
-	// in submit order, preserving frame order on the wire.
-	p := sc.tr.codec
-	pipelined := false
-	if p != nil {
-		scr.jobs, scr.n = scr.jobs[:0], scr.n[:0]
-		if p.enter() {
-			pipelined = true
-			for _, sr := range batch {
-				k := 0
-				if sr.bulk && len(sr.bulkOut) > codecInlineMax {
-					before := len(scr.jobs)
-					scr.jobs = p.submitSealChunks(scr.jobs, sr.streamID, sr.bulkOut, 0)
-					k = len(scr.jobs) - before
-				}
-				scr.n = append(scr.n, k)
-			}
-		}
-	}
 	sc.tr.lockSend()
 	var err error
-	ji := 0
 	for i, sr := range batch {
-		k := 0
-		if pipelined {
-			k = scr.n[i]
+		if err != nil {
+			break
 		}
 		if sr.bulk {
 			// Envelope first, then the payload chunks on the same stream —
 			// all in this batch's single vectored write. Bulk-unary chunks
 			// are exempt from stream credit: the request bounded them.
+			err = sc.tr.appendLocked(wire.FrameBulkResponse, sr.streamID, envs[i])
 			if err == nil {
-				err = sc.tr.appendLocked(wire.FrameBulkResponse, sr.streamID, envs[i])
-			}
-			if k > 0 {
-				// Harvest even after an earlier error: every submitted job
-				// must be awaited and its buffer released.
-				if herr := sc.tr.appendSealedLocked(sr.streamID, scr.jobs[ji:ji+k], err != nil); err == nil {
-					err = herr
-				}
-				ji += k
-			} else if err == nil {
 				err = sc.tr.appendChunkedLocked(sr.streamID, sr.bulkOut, 0)
 			}
-			continue
-		}
-		if err == nil {
+		} else {
 			err = sc.tr.appendLocked(wire.FrameResponse, sr.streamID, envs[i])
 		}
 	}
@@ -877,9 +798,6 @@ func (s *Server) flushResponses(sc *serverConn, batch []*serverResponse, envs []
 		_ = sc.tr.flushLocked()
 	}
 	sc.tr.unlockSend()
-	if pipelined {
-		p.exit()
-	}
 	for i, sr := range batch {
 		wire.PutBuf(envs[i])
 		wire.PutBuf(sr.reqBuf)

@@ -571,75 +571,3 @@ func (s *Server) finishBidi(st *Stream, herr error) {
 		st.cur = nil
 	}
 }
-
-// --- Deprecated server-streaming shims ---
-
-// StreamHandler serves a server-streaming method: it sends zero or more
-// messages via send and returns the final status.
-//
-// Deprecated: register a BidiHandler with RegisterBidi; it exposes the
-// stream itself.
-type StreamHandler func(ctx context.Context, payload []byte, send func([]byte) error) error
-
-// RegisterStream installs a server-streaming handler.
-//
-// Deprecated: use RegisterBidi. RegisterStream adapts h onto the bulk
-// lane: the request payload arrives as the stream's first message.
-func (s *Server) RegisterStream(method string, h StreamHandler) {
-	s.RegisterBidi(method, func(ctx context.Context, st *Stream) error {
-		payload, err := st.Recv()
-		if err == io.EOF {
-			payload = nil
-		} else if err != nil {
-			return err
-		}
-		// The handler never Recvs again, so payload (the stream's pooled
-		// current buffer) stays valid for its whole lifetime.
-		return h(ctx, payload, st.Send)
-	})
-}
-
-// ServerStream is the client's view of a server-streaming call.
-//
-// Deprecated: use Stream via Channel.OpenStream.
-type ServerStream struct {
-	st *Stream
-}
-
-// CallStream starts a server-streaming RPC: the payload goes out as the
-// single request message and the send direction half-closes. Read
-// messages with Recv until io.EOF (clean end) or an error; call Close to
-// abandon early.
-//
-// Deprecated: use OpenStream, which exposes the symmetric Stream.
-func (c *Channel) CallStream(ctx context.Context, method string, payload []byte) (*ServerStream, error) {
-	st, err := c.OpenStream(ctx, method)
-	if err != nil {
-		return nil, err
-	}
-	if err := st.Send(payload); err != nil {
-		_ = st.Close()
-		return nil, err
-	}
-	if err := st.CloseSend(); err != nil {
-		_ = st.Close()
-		return nil, err
-	}
-	return &ServerStream{st: st}, nil
-}
-
-// Recv returns the next message. It returns io.EOF after the final status
-// of a clean stream, or the terminal error otherwise. The returned slice
-// is the caller's to keep (unlike Stream.Recv, which reuses its buffer).
-func (ss *ServerStream) Recv() ([]byte, error) {
-	msg, err := ss.st.Recv()
-	if err != nil {
-		return nil, err
-	}
-	return append([]byte(nil), msg...), nil
-}
-
-// Close abandons the stream: the server's handler context is cancelled
-// via a reset frame and further Recv calls return Cancelled (or the
-// terminal state if the stream had already finished).
-func (ss *ServerStream) Close() { _ = ss.st.Close() }

@@ -14,11 +14,11 @@ import (
 
 // streamSetup starts a server with one streaming handler and returns a
 // connected channel.
-func streamSetup(t *testing.T, method string, h StreamHandler) *Channel {
+func streamSetup(t *testing.T, method string, h BidiHandler) *Channel {
 	t.Helper()
 	opts := Options{Workers: 8}
 	srv := NewServer(opts)
-	srv.RegisterStream(method, h)
+	srv.RegisterBidi(method, h)
 	l, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -35,19 +35,37 @@ func streamSetup(t *testing.T, method string, h StreamHandler) *Channel {
 	return ch
 }
 
+// openServerStream opens a server-streaming call: payload goes out as the
+// single request message and the send direction half-closes.
+func openServerStream(t *testing.T, ctx context.Context, ch *Channel, method string, payload []byte) *Stream {
+	t.Helper()
+	st, err := ch.OpenStream(ctx, method)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := st.Send(payload); err != nil {
+		t.Fatal(err)
+	}
+	if err := st.CloseSend(); err != nil {
+		t.Fatal(err)
+	}
+	return st
+}
+
 func TestStreamBasic(t *testing.T) {
-	ch := streamSetup(t, "svc/List", func(ctx context.Context, p []byte, send func([]byte) error) error {
+	ch := streamSetup(t, "svc/List", func(ctx context.Context, st *Stream) error {
+		p, err := st.Recv()
+		if err != nil {
+			return err
+		}
 		for i := 0; i < 5; i++ {
-			if err := send([]byte(fmt.Sprintf("%s-%d", p, i))); err != nil {
+			if err := st.Send([]byte(fmt.Sprintf("%s-%d", p, i))); err != nil {
 				return err
 			}
 		}
 		return nil
 	})
-	st, err := ch.CallStream(context.Background(), "svc/List", []byte("item"))
-	if err != nil {
-		t.Fatal(err)
-	}
+	st := openServerStream(t, context.Background(), ch, "svc/List", []byte("item"))
 	var got []string
 	for {
 		msg, err := st.Recv()
@@ -69,33 +87,27 @@ func TestStreamBasic(t *testing.T) {
 }
 
 func TestStreamEmpty(t *testing.T) {
-	ch := streamSetup(t, "svc/Empty", func(ctx context.Context, p []byte, send func([]byte) error) error {
+	ch := streamSetup(t, "svc/Empty", func(ctx context.Context, st *Stream) error {
 		return nil
 	})
-	st, err := ch.CallStream(context.Background(), "svc/Empty", nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	st := openServerStream(t, context.Background(), ch, "svc/Empty", nil)
 	if _, err := st.Recv(); err != io.EOF {
 		t.Fatalf("empty stream Recv = %v", err)
 	}
 }
 
 func TestStreamServerError(t *testing.T) {
-	ch := streamSetup(t, "svc/Fail", func(ctx context.Context, p []byte, send func([]byte) error) error {
-		if err := send([]byte("one")); err != nil {
+	ch := streamSetup(t, "svc/Fail", func(ctx context.Context, st *Stream) error {
+		if err := st.Send([]byte("one")); err != nil {
 			return err
 		}
 		return Errorf(trace.EntityNotFound, "ran out")
 	})
-	st, err := ch.CallStream(context.Background(), "svc/Fail", nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	st := openServerStream(t, context.Background(), ch, "svc/Fail", nil)
 	if msg, err := st.Recv(); err != nil || string(msg) != "one" {
 		t.Fatalf("first item: %q %v", msg, err)
 	}
-	_, err = st.Recv()
+	_, err := st.Recv()
 	if Code(err) != trace.EntityNotFound {
 		t.Fatalf("final status = %v", err)
 	}
@@ -104,10 +116,10 @@ func TestStreamServerError(t *testing.T) {
 func TestStreamClientClose(t *testing.T) {
 	started := make(chan struct{}, 1)
 	cancelled := make(chan struct{})
-	ch := streamSetup(t, "svc/Forever", func(ctx context.Context, p []byte, send func([]byte) error) error {
+	ch := streamSetup(t, "svc/Forever", func(ctx context.Context, st *Stream) error {
 		started <- struct{}{}
 		for i := 0; ; i++ {
-			if err := send([]byte("x")); err != nil {
+			if err := st.Send([]byte("x")); err != nil {
 				close(cancelled)
 				return err
 			}
@@ -119,10 +131,7 @@ func TestStreamClientClose(t *testing.T) {
 			}
 		}
 	})
-	st, err := ch.CallStream(context.Background(), "svc/Forever", nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	st := openServerStream(t, context.Background(), ch, "svc/Forever", nil)
 	<-started
 	if _, err := st.Recv(); err != nil {
 		t.Fatal(err)
@@ -139,17 +148,14 @@ func TestStreamClientClose(t *testing.T) {
 }
 
 func TestStreamDeadline(t *testing.T) {
-	ch := streamSetup(t, "svc/Slow", func(ctx context.Context, p []byte, send func([]byte) error) error {
+	ch := streamSetup(t, "svc/Slow", func(ctx context.Context, st *Stream) error {
 		<-ctx.Done()
 		return ctx.Err()
 	})
 	ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
 	defer cancel()
-	st, err := ch.CallStream(ctx, "svc/Slow", nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, err = st.Recv()
+	st := openServerStream(t, ctx, ch, "svc/Slow", nil)
+	_, err := st.Recv()
 	if err == nil || err == io.EOF {
 		t.Fatalf("expected deadline error, got %v", err)
 	}
@@ -158,18 +164,15 @@ func TestStreamDeadline(t *testing.T) {
 func TestStreamLargeVolume(t *testing.T) {
 	const items = 500
 	payload := make([]byte, 2048)
-	ch := streamSetup(t, "svc/Bulk", func(ctx context.Context, p []byte, send func([]byte) error) error {
+	ch := streamSetup(t, "svc/Bulk", func(ctx context.Context, st *Stream) error {
 		for i := 0; i < items; i++ {
-			if err := send(payload); err != nil {
+			if err := st.Send(payload); err != nil {
 				return err
 			}
 		}
 		return nil
 	})
-	st, err := ch.CallStream(context.Background(), "svc/Bulk", nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	st := openServerStream(t, context.Background(), ch, "svc/Bulk", nil)
 	n := 0
 	for {
 		msg, err := st.Recv()
@@ -191,15 +194,12 @@ func TestStreamLargeVolume(t *testing.T) {
 
 func TestStreamChannelCloseFailsStream(t *testing.T) {
 	started := make(chan struct{}, 1)
-	ch := streamSetup(t, "svc/Hang", func(ctx context.Context, p []byte, send func([]byte) error) error {
+	ch := streamSetup(t, "svc/Hang", func(ctx context.Context, st *Stream) error {
 		started <- struct{}{}
 		<-ctx.Done()
 		return ctx.Err()
 	})
-	st, err := ch.CallStream(context.Background(), "svc/Hang", nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	st := openServerStream(t, context.Background(), ch, "svc/Hang", nil)
 	<-started
 	ch.Close()
 	done := make(chan error, 1)
@@ -219,11 +219,8 @@ func TestStreamChannelCloseFailsStream(t *testing.T) {
 
 func TestStreamUnknownMethod(t *testing.T) {
 	ch, _ := testSetup(t, Options{}, nil) // unary server, no stream handlers
-	st, err := ch.CallStream(context.Background(), "svc/Nope", nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, err = st.Recv()
+	st := openServerStream(t, context.Background(), ch, "svc/Nope", nil)
+	_, err := st.Recv()
 	if Code(err) != trace.EntityNotFound {
 		t.Fatalf("unknown stream method = %v", err)
 	}
@@ -233,8 +230,8 @@ func TestStreamAndUnaryCoexist(t *testing.T) {
 	opts := Options{Workers: 8}
 	srv := NewServer(opts)
 	srv.Register("svc/Echo", echoHandler)
-	srv.RegisterStream("svc/Stream", func(ctx context.Context, p []byte, send func([]byte) error) error {
-		return send([]byte("si"))
+	srv.RegisterBidi("svc/Stream", func(ctx context.Context, st *Stream) error {
+		return st.Send([]byte("si"))
 	})
 	l, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -259,10 +256,7 @@ func TestStreamAndUnaryCoexist(t *testing.T) {
 		}
 	}()
 	for i := 0; i < 20; i++ {
-		st, err := ch.CallStream(context.Background(), "svc/Stream", nil)
-		if err != nil {
-			t.Fatal(err)
-		}
+		st := openServerStream(t, context.Background(), ch, "svc/Stream", nil)
 		if msg, err := st.Recv(); err != nil || string(msg) != "si" {
 			t.Fatalf("stream item %q %v", msg, err)
 		}
@@ -286,9 +280,9 @@ func TestRegisterStreamConflicts(t *testing.T) {
 				t.Error("stream over unary registration should panic")
 			}
 		}()
-		srv.RegisterStream("svc/M", func(context.Context, []byte, func([]byte) error) error { return nil })
+		srv.RegisterBidi("svc/M", func(context.Context, *Stream) error { return nil })
 	}()
-	srv.RegisterStream("svc/S", func(context.Context, []byte, func([]byte) error) error { return nil })
+	srv.RegisterBidi("svc/S", func(context.Context, *Stream) error { return nil })
 	func() {
 		defer func() {
 			if recover() == nil {

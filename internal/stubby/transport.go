@@ -33,13 +33,6 @@ import (
 type transport struct {
 	conn net.Conn
 
-	// codec, when non-nil, is the connection's seal/open worker pool
-	// (DESIGN.md §16): large frames are ciphered concurrently off the
-	// loops, harvested in submission order so the wire sees the same
-	// frame sequence as the inline path. Set by startCodec before the
-	// connection's loops start; nil means the fully inline data plane.
-	codec *codecPool
-
 	sendMu  sync.Mutex
 	sendKey *secure.Session
 	writer  *wire.Writer
@@ -166,49 +159,6 @@ func (t *transport) appendChunkedLocked(streamID uint64, data []byte, endFlags b
 	}
 }
 
-// startCodec attaches a codec worker pool of the given size (0 leaves
-// the transport fully inline). Call before the connection's loops start.
-func (t *transport) startCodec(workers int, obs DataPlaneObserver) {
-	if workers > 0 {
-		t.codec = newCodecPool(workers, t.sendKey, t.recvKey, obs)
-	}
-}
-
-// stopCodec shuts the worker pool down, waiting for in-flight cycles.
-// Nil-safe and idempotent; call after the connection's loops have exited
-// (or at least after the conn is closed, so the loops are unwinding).
-func (t *transport) stopCodec() {
-	if t.codec != nil {
-		t.codec.close()
-	}
-}
-
-// appendSealedLocked harvests seal jobs in submission order and queues
-// each sealed chunk by reference — the in-order completion point of the
-// pipelined send path. The actual sealing ran (or still runs) on the
-// codec workers; harvesting in order under the send lock makes the wire
-// byte-identical to the inline path. Every job is always harvested and
-// recycled, even after an error or with discard set (the caller's error
-// path); undelivered buffers go back to the pool here.
-func (t *transport) appendSealedLocked(streamID uint64, jobs []*codecJob, discard bool) error {
-	var err error
-	for _, j := range jobs {
-		<-j.done
-		out := j.out
-		j.out = nil
-		t.codec.putJob(j)
-		if discard || err != nil {
-			wire.PutBuf(out)
-			continue
-		}
-		if aerr := t.writer.AppendFrameVec(wire.FrameStreamChunk, streamID, out); aerr != nil {
-			wire.PutBuf(out)
-			err = aerr
-		}
-	}
-	return err
-}
-
 // flushLocked writes every appended frame with a single (possibly
 // vectored) write. Caller must hold the send lock: sendMu exists to
 // serialize frame writes on the shared conn, and holding it across the
@@ -230,22 +180,8 @@ func (t *transport) send(frameType byte, streamID uint64, payload []byte) error 
 
 // sendChunks seals data as one stream message (one or more chunk frames,
 // the last carrying chunkEndMsg|endFlags) and flushes with one vectored
-// write. Safe for concurrent use. With a codec pool attached, large
-// messages are sealed concurrently by the workers while this goroutine
-// takes the send lock; harvest order preserves chunk order.
+// write. Safe for concurrent use.
 func (t *transport) sendChunks(streamID uint64, data []byte, endFlags byte) error {
-	if p := t.codec; p != nil && len(data) > codecInlineMax && p.enter() {
-		var arr [8]*codecJob
-		jobs := p.submitSealChunks(arr[:0], streamID, data, endFlags)
-		t.lockSend()
-		err := t.appendSealedLocked(streamID, jobs, false)
-		if err == nil {
-			err = t.flushLocked()
-		}
-		t.unlockSend()
-		p.exit()
-		return err
-	}
 	t.lockSend()
 	defer t.unlockSend()
 	if err := t.appendChunkedLocked(streamID, data, endFlags); err != nil {
@@ -312,7 +248,11 @@ func (t *transport) recv() (recvMsg, error) {
 		m.flags = sealed[0]
 		aad, sealed = f.Payload[:1], sealed[1:]
 	}
-	buf := wire.GetBuf(len(sealed))
+	// Size the buffer for the plaintext, not the sealed bytes: a payload
+	// that exactly fills a size class (a 16 KiB bulk chunk) would
+	// otherwise take a buffer from the class twice its size. A frame
+	// shorter than the overhead fails to open below.
+	buf := wire.GetBuf(len(sealed) - secure.Overhead)
 	plain, err := t.recvKey.OpenAppendAAD(buf, sealed, aad)
 	if err != nil {
 		wire.PutBuf(buf)
@@ -320,95 +260,6 @@ func (t *transport) recv() (recvMsg, error) {
 	}
 	m.plain = plain
 	return m, nil
-}
-
-// recvItem is one inbound frame moving through the pipelined open path:
-// either already decrypted (job == nil, msg.plain set) or pending on the
-// codec workers (msg carries the frame metadata; harvest the plaintext
-// with finishOpen).
-type recvItem struct {
-	msg recvMsg
-	job *codecJob
-}
-
-// recvPipelineDepth bounds how far the receive pump reads ahead of the
-// dispatching loop, and with it the sealed-copy memory pinned in flight.
-const recvPipelineDepth = 16
-
-// recvPump reads frames and feeds items until the connection fails,
-// returning the terminal error: small frames are opened inline, large
-// ones are copied out and submitted to the codec pool so decryption
-// overlaps the read-ahead. Exactly one goroutine runs the pump, and the
-// consumer must harvest every item it receives — even when tearing down —
-// so job buffers stay accounted.
-func (t *transport) recvPump(items chan<- recvItem) error {
-	p := t.codec
-	if !p.enter() {
-		return ErrUnavailable // pool already closing: connection is going down
-	}
-	defer p.exit()
-	for {
-		m, j, err := t.recvStep(p)
-		if err != nil {
-			return err
-		}
-		items <- recvItem{msg: m, job: j}
-	}
-}
-
-// recvStep reads and routes one frame under recvMu for the pump.
-func (t *transport) recvStep(p *codecPool) (recvMsg, *codecJob, error) {
-	t.recvMu.Lock()
-	defer t.recvMu.Unlock()
-	if sanitize.Enabled {
-		sanitize.LockAcquired(sanitize.RankTransportRecv, "stubby.transport.recvMu")
-		defer sanitize.LockReleased(sanitize.RankTransportRecv)
-	}
-	//rpclint:ignore lockheld recvMu serializes reads of the shared frame reader; holding it across the read is the point
-	f, err := t.reader.ReadFrame()
-	if err != nil {
-		return recvMsg{}, nil, err
-	}
-	m := recvMsg{typ: f.Type, streamID: f.StreamID}
-	sealed := f.Payload
-	var aad []byte
-	if f.Type == wire.FrameStreamChunk {
-		if len(sealed) < 1 {
-			return recvMsg{}, nil, secure.ErrDecrypt
-		}
-		m.flags = sealed[0]
-		aad, sealed = f.Payload[:1], sealed[1:]
-	}
-	if len(sealed) > codecInlineMax {
-		// ReadFrame's payload is only valid until the next read: copy the
-		// sealed bytes into a pooled buffer the job owns, and let a codec
-		// worker decrypt while this loop reads ahead.
-		j := p.getJob()
-		j.op = codecOpen
-		j.typ = m.typ
-		j.flags = m.flags
-		j.in = append(wire.GetBuf(len(sealed)), sealed...)
-		p.submit(j)
-		return m, j, nil
-	}
-	buf := wire.GetBuf(len(sealed))
-	plain, err := t.recvKey.OpenAppendAAD(buf, sealed, aad)
-	if err != nil {
-		wire.PutBuf(buf)
-		return recvMsg{}, nil, err
-	}
-	m.plain = plain
-	return m, nil, nil
-}
-
-// finishOpen harvests an open job: the decrypted payload (ownership
-// transfers to the caller) or the decrypt error.
-func (t *transport) finishOpen(j *codecJob) ([]byte, error) {
-	<-j.done
-	out, err := j.out, j.err
-	j.out = nil
-	t.codec.putJob(j)
-	return out, err
 }
 
 // close tears down the underlying connection.

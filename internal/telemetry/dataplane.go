@@ -4,20 +4,10 @@ import (
 	"rpcscale/internal/stubby"
 )
 
-// The Plane implements stubby.DataPlaneObserver, so the multi-core data
-// plane (DESIGN.md §16) reports codec-pool utilization and adaptive
-// compression skips into the same Monarch DB as the call metrics.
-// Plane.Apply wires it in.
+// The Plane implements stubby.DataPlaneObserver, so the data plane
+// (DESIGN.md §16) reports adaptive compression skips into the same
+// Monarch DB as the call metrics. Plane.Apply wires it in.
 var _ stubby.DataPlaneObserver = (*Plane)(nil)
-
-// CodecJobEnqueued records one seal/open job handed to a connection's
-// codec workers, with the queue depth observed at submit time — the live
-// signal for whether the pipelined data plane is keeping its workers fed
-// or backing up.
-func (p *Plane) CodecJobEnqueued(queued int) {
-	p.codecJobs.Add(1)
-	p.record(aggKey{kind: kindCodecJob}, true, float64(queued))
-}
 
 // CompressSkipped records one payload the adaptive compression gate sent
 // uncompressed for method — compression-tax cycles not spent.
@@ -27,8 +17,10 @@ func (p *Plane) CompressSkipped(method string, bytes int) {
 	p.record(aggKey{kind: kindCompressSkip, method: method}, false, 0)
 }
 
-// CodecJobs returns the total jobs submitted to codec worker pools.
-func (p *Plane) CodecJobs() uint64 { return p.codecJobs.Load() }
+// CodecJobs always returns 0: every frame is sealed and opened inline on
+// its connection's send and receive loops (DESIGN.md §16). It is kept
+// because the repository benchmark's unary_small check reads it.
+func (p *Plane) CodecJobs() uint64 { return 0 }
 
 // CompressSkips returns the total payloads adaptive compression skipped.
 func (p *Plane) CompressSkips() uint64 { return p.compressSkips.Load() }

@@ -68,12 +68,6 @@ const (
 	// MetricShed counts requests the server rejected by load shedding
 	// before they reached the worker pool. Counter; labels: method.
 	MetricShed = "server/shed"
-	// MetricCodecJobs counts seal/open jobs submitted to codec worker
-	// pools (the pipelined data plane, DESIGN.md §16). Counter; no labels.
-	MetricCodecJobs = "rpc/codec_jobs"
-	// MetricCodecQueueDepth is the distribution of codec job-queue depth
-	// observed at submit time. Distribution; no labels.
-	MetricCodecQueueDepth = "rpc/codec_queue_depth"
 	// MetricCompressSkipped counts payloads the adaptive compression gate
 	// sent uncompressed. Counter; labels: method.
 	MetricCompressSkipped = "rpc/compress_skipped"
@@ -154,7 +148,6 @@ type Plane struct {
 	shedCalls          atomic.Uint64
 
 	// Data-plane totals (the DataPlaneObserver surface; see dataplane.go).
-	codecJobs            atomic.Uint64
 	compressSkips        atomic.Uint64
 	compressSkippedBytes atomic.Uint64
 
@@ -182,7 +175,6 @@ const (
 	kindRetrySuppressed
 	kindBreaker
 	kindShed
-	kindCodecJob
 	kindCompressSkip
 )
 
@@ -236,8 +228,6 @@ func newDeclaredDB(window, retention time.Duration) *monarch.DB {
 		MetricRetriesSuppressed:  monarch.Counter,
 		MetricBreakerTransitions: monarch.Counter,
 		MetricShed:               monarch.Counter,
-		MetricCodecJobs:          monarch.Counter,
-		MetricCodecQueueDepth:    monarch.Distribution,
 		MetricCompressSkipped:    monarch.Counter,
 	} {
 		if err := db.Declare(m, k); err != nil {
@@ -266,7 +256,6 @@ func (p *Plane) Reset() {
 	p.retriesSuppressed.Store(0)
 	p.breakerTransitions.Store(0)
 	p.shedCalls.Store(0)
-	p.codecJobs.Store(0)
 	p.compressSkips.Store(0)
 	p.compressSkippedBytes.Store(0)
 	p.comp.CompressCalls.Store(0)
@@ -490,13 +479,6 @@ func (p *Plane) flushLocked(key aggKey, a *winAgg) {
 		}, a.window, a.count)
 	case kindShed:
 		p.write(MetricShed, monarch.Labels{"method": key.method}, a.window, a.count)
-	case kindCodecJob:
-		p.write(MetricCodecJobs, nil, a.window, a.count)
-		if a.lat != nil {
-			// The "latency" histogram carries queue depths here; same
-			// windowed distribution machinery, different unit.
-			p.writeDist(MetricCodecQueueDepth, nil, a.window, a.lat)
-		}
 	case kindCompressSkip:
 		p.write(MetricCompressSkipped, monarch.Labels{"method": key.method}, a.window, a.count)
 	}

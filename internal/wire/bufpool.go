@@ -2,7 +2,6 @@ package wire
 
 import (
 	"math/bits"
-	"runtime"
 	"sync"
 	"sync/atomic"
 
@@ -54,19 +53,6 @@ func depth(cls int) int {
 	return d
 }
 
-// shardDepth splits the class retention limit across shards (rounding up,
-// minimum one buffer per shard). For small classes the 4 MiB cap is
-// preserved exactly; the largest classes may retain up to one buffer per
-// shard beyond it — bounded, and only when multi-core traffic actually
-// populates every shard.
-func shardDepth(cls int) int {
-	d := (depth(cls) + poolShardCount - 1) / poolShardCount
-	if d < 1 {
-		return 1
-	}
-	return d
-}
-
 // Size-classed buffer pool for the data plane. The send path threads
 // these buffers through marshal→compress→seal and the recv path through
 // open→decompress, so steady-state traffic recycles a small working set
@@ -83,34 +69,11 @@ const (
 	maxPoolClass = 20 // largest pooled capacity: 1 MiB
 )
 
-// maxPoolShards bounds the per-class shard fan-out. Each size class is
-// split into poolShardCount independently locked shards so parallel codec
-// workers and connection stripes do not serialize on one mutex per class;
-// a shard is picked round-robin from the operation counters (no extra
-// atomics on the hot path). With GOMAXPROCS=1 — and always under the
-// sanitize tag, whose poison tests rely on deterministic LIFO reuse —
-// there is a single shard and behavior is identical to the unsharded
-// pool.
-const maxPoolShards = 8
-
-var (
-	poolShardCount = 1
-	poolShardMask  int64
-)
-
-func init() {
-	if sanitize.Enabled {
-		return
-	}
-	s := 1
-	for s < runtime.GOMAXPROCS(0) && s < maxPoolShards {
-		s <<= 1
-	}
-	poolShardCount = s
-	poolShardMask = int64(s - 1)
-}
-
-var bufPools [maxPoolClass - minPoolClass + 1][maxPoolShards]bufClass
+// One free stack per class, so a put always lands where the next get
+// looks. Shards picked round-robin from the get and put counters break
+// that: a call makes a fixed number of gets and puts, so some shards only
+// fill, dropping buffers at their cap, while others only drain.
+var bufPools [maxPoolClass - minPoolClass + 1]bufClass
 
 // poolGets and poolPuts count GetBuf and PutBuf calls (including the
 // out-of-class fallbacks). Their difference bounds the buffers currently
@@ -129,7 +92,7 @@ func PoolCounters() (gets, puts int64) {
 // append into. Requests beyond the largest size class are plain
 // allocations that PutBuf will decline to pool.
 func GetBuf(n int) []byte {
-	g := poolGets.Add(1)
+	poolGets.Add(1)
 	if n > 1<<maxPoolClass {
 		return make([]byte, 0, n)
 	}
@@ -137,7 +100,7 @@ func GetBuf(n int) []byte {
 	if n > 1<<minPoolClass {
 		cls = bits.Len(uint(n-1)) - minPoolClass // ceil(log2 n) - min
 	}
-	p := &bufPools[cls][g&poolShardMask]
+	p := &bufPools[cls]
 	p.lock()
 	if p.n > 0 {
 		p.n--
@@ -159,16 +122,16 @@ func PutBuf(b []byte) {
 	if b == nil {
 		return
 	}
-	g := poolPuts.Add(1)
+	poolPuts.Add(1)
 	c := cap(b)
 	if c < 1<<minPoolClass || c > 1<<maxPoolClass {
 		return
 	}
 	cls := bits.Len(uint(c)) - 1 - minPoolClass // floor(log2 cap) - min
 	poisonCheckPut(b)
-	p := &bufPools[cls][g&poolShardMask]
+	p := &bufPools[cls]
 	p.lock()
-	if p.n < shardDepth(cls) {
+	if p.n < depth(cls) {
 		poisonRetain(b)
 		p.free[p.n] = b[:0]
 		p.n++

@@ -5,6 +5,7 @@ import (
 	"context"
 	"reflect"
 	"testing"
+	"time"
 
 	"rpcscale/internal/fleet"
 	"rpcscale/internal/trace"
@@ -85,6 +86,40 @@ func TestGraphStatWithinBudget(t *testing.T) {
 			t.Fatalf("graph %s: %d shared nodes but %d fan-in edges",
 				g.Root, g.SharedNodes, g.FanInEdges)
 		}
+	}
+}
+
+// TestGraphStatMatchesStreamedSpans checks, per trace, that the
+// generator's own graph census equals the census rebuilt from the spans
+// it streamed, hedged-cancellation duplicates included. Fig. G from a
+// live run must agree with Fig. G from that run's dump.
+func TestGraphStatMatchesStreamedSpans(t *testing.T) {
+	cat := motifCat()
+	roots := entryMethods(cat)
+	gen := NewGenerator(cat, testTopo, nil, 2)
+	dups := 0
+	for i := 0; i < 300; i++ {
+		var spans []*trace.Span
+		obs := gen.Call(roots[i%len(roots)], CallOptions{
+			At: time.Duration(i) * time.Minute, MaxDepth: 8, Budget: 400,
+			Materialize: true,
+			Observe: func(o CallObservation) {
+				spans = append(spans, o.Span)
+				if o.Span.Hedged && o.Span.Err == trace.Cancelled {
+					dups++
+				}
+			},
+		})
+		graphs := trace.BuildGraphs(spans)
+		if len(graphs) != 1 {
+			t.Fatalf("trace %d: %d graphs from %d spans, want 1", i, len(graphs), len(spans))
+		}
+		if got, want := obs.Graph, GraphStatOf(graphs[0]); got != want {
+			t.Fatalf("trace %d: generator GraphStat %+v, streamed spans give %+v", i, got, want)
+		}
+	}
+	if dups == 0 {
+		t.Fatal("no hedged-cancellation spans generated; the check is vacuous")
 	}
 }
 

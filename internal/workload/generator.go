@@ -53,10 +53,13 @@ type Generator struct {
 	// regenerating subtrees; pending holds observations of shared spans,
 	// deferred to the end of the graph so fan-in edges recorded by later
 	// callers are present when the span is observed (and serialized).
+	// hedgeDups counts the hedged-cancellation spans emitted beside their
+	// originals: graph nodes outside the descendant counts.
 	depthNodes  []int
 	motifCount  [trace.NumMotifs]uint32
 	fanInEdges  int
 	sharedNodes int
+	hedgeDups   int
 	shared      map[*fleet.Method]*sharedEntry
 	pending     []CallObservation
 }
@@ -236,7 +239,7 @@ func (g *Generator) Call(m *fleet.Method, opts CallOptions) CallObservation {
 	}
 	rootObs.Graph = GraphStat{
 		Root:        m.Name,
-		Spans:       res.nodes,
+		Spans:       res.nodes + g.hedgeDups,
 		Depth:       depth,
 		Width:       width,
 		FanInEdges:  g.fanInEdges,
@@ -252,6 +255,7 @@ func (g *Generator) resetGraph() {
 	g.motifCount = [trace.NumMotifs]uint32{}
 	g.fanInEdges = 0
 	g.sharedNodes = 0
+	g.hedgeDups = 0
 	for k := range g.shared {
 		delete(g.shared, k)
 	}
@@ -540,6 +544,13 @@ func (g *Generator) genCall(m *fleet.Method, client *sim.Cluster, at time.Durati
 		for cat := range dup.CPUByCategory {
 			dup.CPUByCategory[cat] = span.CPUByCategory[cat] * dupCPU
 			g.Prof.Record(m.Service.Name, m.Name, gwp.Category(cat), dup.CPUByCategory[cat])
+		}
+		// The duplicate is a node of the graph, a sibling of span at the
+		// same depth, but stays out of the descendant counts (Figs. 4/5).
+		g.hedgeDups++
+		g.noteNode(depth)
+		if dup.Motif != trace.MotifNone {
+			g.motifCount[dup.Motif]++
 		}
 		opts.Observe(CallObservation{
 			Span: &dup, Method: m, Server: server, Client: client, Exo: exo,

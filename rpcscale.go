@@ -101,14 +101,6 @@ type (
 	// Channel.OpenStream, or thread through a context with
 	// ContextWithCallOptions.
 	CallOption = stubby.CallOption
-	// StreamHandler serves a server-streaming method.
-	//
-	// Deprecated: use BidiHandler with Server.RegisterBidi.
-	StreamHandler = stubby.StreamHandler
-	// ServerStream is the client's view of a server-streaming call.
-	//
-	// Deprecated: use Stream via Channel.OpenStream.
-	ServerStream = stubby.ServerStream
 	// Pool is a client-side channel pool with failover and cross-replica
 	// hedging.
 	Pool = stubby.Pool
@@ -455,14 +447,6 @@ func WithDefaultBulkThreshold(bytes int) Option {
 // connection.
 func WithConnStripes(k int) Option {
 	return func(c *stackConfig) { c.opts.ConnStripes = k }
-}
-
-// WithCodecWorkers sets the per-connection seal/open worker pool size:
-// n > 0 forces a pool of n, n < 0 forces the fully inline data plane,
-// and 0 (the default) sizes the pool from GOMAXPROCS — disabled on a
-// single-proc runtime.
-func WithCodecWorkers(n int) Option {
-	return func(c *stackConfig) { c.opts.CodecWorkers = n }
 }
 
 // WithAdaptiveCompression lets endpoints decide per method whether the
